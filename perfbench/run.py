@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import heapq
 import json
 import math
 import resource
@@ -55,6 +56,10 @@ HELD_OUT_SEED = 7919
 MAX_MEASURE_S = 120.0
 #: A traced run's self times must add up to its wall within this.
 PARTITION_TOLERANCE_S = 1e-6
+#: Reference host speed, in calibration-kernel iterations per second
+#: (about the median of a shared 2-vCPU Xeon VM).  Throughput and the
+#: median window are reported at this speed; see README.md.
+REFERENCE_SPEED = 500_000.0
 
 
 @dataclass(frozen=True)
@@ -310,6 +315,43 @@ def one_run(wl: Workload, seed: int, size: str, traced: bool,
 # ----------------------------------------------------------------------
 # Measuring
 # ----------------------------------------------------------------------
+class _Link:
+    __slots__ = ("value", "next")
+
+    def __init__(self, value: int, nxt) -> None:
+        self.value = value
+        self.next = nxt
+
+
+def _count(n: int):
+    yield from range(n)
+
+
+def host_speed(iterations: int = 4000) -> float:
+    """Calibration-kernel iterations per host second (~8 ms of work).
+
+    The kernel is the benchmark's own code, never the program's: object
+    allocation, attribute and dict access, a heap and generator resumes,
+    the operations the co-simulation spends its time on.  Interleaved
+    with the runs, its median tracks how fast the host runs Python over
+    the invocation.
+    """
+    start = time.perf_counter()
+    heap: List[int] = []
+    table: Dict[int, int] = {}
+    link = None
+    total = 0
+    for i in range(iterations):
+        link = _Link(i, link)
+        table[i & 255] = link.value + 1
+        heapq.heappush(heap, (i * 7919) % 1009)
+        if len(heap) > 64:
+            total += heapq.heappop(heap)
+        for value in _count(4):
+            total += value
+    return iterations / (time.perf_counter() - start)
+
+
 #: Tracer counters that in-process runs of one seed must also repeat.
 _DETERMINISTIC_LAYER_COUNTS = ("simkernel.edges_leapt", "iss.instructions",
                                "transport.report_polls")
@@ -322,6 +364,8 @@ class Invocation:
     attempted: int = 0
     failed: int = 0
     baseline: Optional[Dict[str, float]] = None
+    #: host_speed() samples, one before each measured run.
+    speeds: List[float] = field(default_factory=list)
 
     def attempt(self, wl: Workload, seed: int, size: str, traced: bool,
                 reference) -> Optional[Run]:
@@ -370,6 +414,7 @@ class Invocation:
                       and windows >= min_windows)
             if enough or elapsed >= MAX_MEASURE_S:
                 return kept
+            self.speeds.append(host_speed())
             run = self.attempt(wl, seed, size, traced, reference)
             if run is not None:
                 kept.append(run)
@@ -397,12 +442,19 @@ def peak_rss_mb(wl: Workload, seed: int, size: str) -> "tuple[float, bool]":
     return kib / 1024.0, child.returncode == 0
 
 
-def end_to_end(wl: Workload, runs: List[Run], rss_mb: float) -> dict:
+def end_to_end(wl: Workload, runs: List[Run], rss_mb: float,
+               speed: float) -> dict:
+    """Medians of the runs; throughput and median window rescaled from
+    the invocation's host *speed* to REFERENCE_SPEED."""
     windows = [w for run in runs for w in run.windows_s]
+    scale = REFERENCE_SPEED / speed
     return {
-        "sim_cycles_per_s": statistics.median(
+        "sim_cycles_per_s": scale * statistics.median(
             run.cycles / run.wall_s for run in runs),
-        "window_p50_us": 1e6 * percentile(windows, 50),
+        "window_p50_us": 1e6 * percentile(windows, 50) / scale,
+        # The tail is set by stretches where the host runs at its slow
+        # level throughout, so it stays in plain host time: rescaling it
+        # by the average speed would add the variation it lacks.
         "window_tail_us": 1e6 * percentile(windows, wl.tail_pct),
         "setup_s": statistics.median(run.setup_s for run in runs),
         "peak_rss_mb": rss_mb,
@@ -512,7 +564,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                              reference, min_runs=5, min_windows=min_windows)
         if not runs:
             sys.exit("perfbench: no run passed its output check")
-        metrics = end_to_end(wl, runs, rss_mb)
+        speed = statistics.median(inv.speeds)
+        metrics = end_to_end(wl, runs, rss_mb, speed)
+        details["host_speed"] = speed
+        details["host_sim_cycles_per_s"] = statistics.median(
+            run.cycles / run.wall_s for run in runs)
         details["counts"] = runs[0].counts
         details["runs"] = len(runs)
         details["windows"] = sum(len(run.windows_s) for run in runs)
