@@ -685,6 +685,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     metrics = cosim.run()
     obs = cosim.session.obs
     print(metrics.summary())
+    sim = cosim.master.sim
+    edges = sim.edges_leapt + sim.edges_simulated
+    print(f"simkernel: edges_simulated={sim.edges_simulated} "
+          f"edges_leapt={sim.edges_leapt} "
+          f"leapt_share={sim.edges_leapt / edges if edges else 0.0:.4f}")
     if args.format == "text":
         report = render_text_report(obs, top=args.top)
         if args.out:

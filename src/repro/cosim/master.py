@@ -191,17 +191,15 @@ class CosimMaster:
     # ------------------------------------------------------------------
     # Window execution
     # ------------------------------------------------------------------
-    def run_cycles(self, cycles: int) -> None:
-        """Advance the hardware simulation by *cycles* clock cycles."""
-        self.sim.run_until(self.sim.now + cycles * self.clock.period)
+    def run_cycles(self, cycles: int) -> int:
+        """Advance the hardware simulation by *cycles* clock cycles.
 
-    def run_cycles_leaping(self, cycles: int) -> int:
-        """:meth:`run_cycles`, analytically skipping stretches where the
-        tick-rate clock is the only live activity (see
+        The only way the master advances hardware time: stretches where
+        the tick-rate clock is the sole live activity are applied in
+        closed form (see
         :meth:`~repro.simkernel.kernel.Simulator.run_until_leaping`).
-        Returns the number of clock edges applied analytically.  Used
-        by the optimistic session's catchup phase, where whole windows
-        are often pure clock ticking."""
+        Returns the number of clock edges applied analytically.
+        """
         return self.sim.run_until_leaping(
             self.sim.now + cycles * self.clock.period,
             clocks=(self.clock,),
@@ -260,7 +258,6 @@ class CosimMaster:
         mechanism behind :class:`repro.cosim.adaptive`.
         """
         start = self.clock.cycles
-        period = self.clock.period
         token = None
         if self.obs.enabled:
             token = self.obs.begin("master", "simulate", sim=start,
@@ -268,14 +265,14 @@ class CosimMaster:
         try:
             self._stop_on_activity = True
             try:
-                self.sim.run_until(self.sim.now + max_ticks * period)
+                self.run_cycles(max_ticks)
             finally:
                 self._stop_on_activity = False
             ticks = self.clock.cycles - start
             if ticks == 0:
                 # An event fired in the settle phase before any clock
                 # edge; the minimum legal grant is one tick.
-                self.sim.run_until(self.sim.now + period)
+                self.run_cycles(1)
                 ticks = self.clock.cycles - start
         finally:
             if token is not None:
@@ -292,7 +289,7 @@ class CosimMaster:
         return ticks
 
     def run_window_threaded(self, ticks: int) -> None:
-        """Threaded sessions: grant, simulate cycle by cycle while
+        """Threaded sessions: grant, simulate in strides while
         servicing the DATA port, then block for the time report."""
         self.fsm.step("send_grant")
         grant = self.protocol.make_grant(ticks)
@@ -301,7 +298,6 @@ class CosimMaster:
             obs.event("transport", "grant.send", sim=self.clock.cycles,
                       seq=grant.seq, ticks=ticks)
         self.endpoint.send_grant(grant)
-        period = self.clock.period
         sim_token = None
         if obs.enabled:
             deltas = self.sim.delta_count
@@ -324,7 +320,7 @@ class CosimMaster:
                 elif stride < stride_max:
                     stride = min(stride * 2, stride_max)
                 step = min(stride, remaining)
-                self.sim.run_until(self.sim.now + step * period)
+                self.run_cycles(step)
                 remaining -= step
         finally:
             if sim_token is not None:

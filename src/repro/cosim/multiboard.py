@@ -196,7 +196,7 @@ class MultiBoardThreadedSession(_MultiBoardBase):
     """N board runtimes in their own OS threads, one timed master.
 
     Every window the master grants the same tick budget on every CLOCK
-    port, simulates its half cycle by cycle while draining each board's
+    port, simulates its half in strides while draining each board's
     DATA port, then blocks until *all* boards report — so the alignment
     invariant ``master cycles == board_i ticks`` holds at every
     exchange, exactly as in the in-process session.  Works over any
@@ -226,7 +226,6 @@ class MultiBoardThreadedSession(_MultiBoardBase):
             while self._should_continue(metrics.windows, done, max_cycles):
                 ticks = self._window_ticks(max_cycles)
                 self._grant_all(ticks)
-                period = self.master.clock.period
                 # Same adaptive poll stride as the single-board master.
                 stride_max = self.config.data_poll_stride_max
                 stride = 1
@@ -237,8 +236,7 @@ class MultiBoardThreadedSession(_MultiBoardBase):
                     elif stride < stride_max:
                         stride = min(stride * 2, stride_max)
                     step = min(stride, remaining)
-                    self.master.sim.run_until(
-                        self.master.sim.now + step * period)
+                    self.master.run_cycles(step)
                     remaining -= step
                 self.master.fsm.step("window_simulated")
                 self._collect_reports()

@@ -17,10 +17,10 @@ synchronization cost for windows in which no interrupt ever lands.
   plain-data restore.  Idle windows advance nothing but counters —
   frame-exactly rewindable — and they are precisely the windows where
   conservative lock-step wastes its synchronization cost.
-* **Catch up** — the master then simulates the same windows, using the
-  simkernel's analytic clock leap
-  (:meth:`~repro.simkernel.kernel.Simulator.run_until_leaping`) so
-  quiet stretches cost arithmetic instead of per-edge event churn.
+* **Catch up** — the master then simulates the same windows through
+  its shared :meth:`~repro.cosim.master.CosimMaster.run_cycles`, whose
+  analytic clock leap makes quiet stretches cost arithmetic instead of
+  per-edge event churn, exactly as in a conservative window.
 * **Validate** — per window, the speculatively-assumed schedule (no
   interrupts, no DATA) is diffed against what the simulation actually
   produced.  A clean window **commits**: the stashed time report is
@@ -219,10 +219,7 @@ class OptimisticSession(InprocSession):
         plan = self._plan_round(metrics, max_cycles, max_windows)
         if not plan or not self._board_quiescent(plan[0]):
             # The board has live work — a busy window is not frame-safe
-            # to discard, so it runs the exact conservative path.  Even
-            # a depth-1 plan is worth speculating: the catch-up pass
-            # rides the simkernel's clock leap, which the conservative
-            # window body cannot use.
+            # to discard, so it runs the exact conservative path.
             self._run_conservative_window(metrics, max_cycles)
             return
 
@@ -362,10 +359,10 @@ class OptimisticSession(InprocSession):
     # Catch-up, commit, rollback
     # ------------------------------------------------------------------
     def _catchup_simulate(self, ticks: int) -> int:
-        """Master's half of one speculated window, with the clock leap."""
+        """Master's half of one speculated window."""
         master = self.master
         if not self.obs.enabled:
-            return master.run_cycles_leaping(ticks)
+            return master.run_cycles(ticks)
         deltas = master.sim.delta_count
         runs = master.sim.process_runs
         leapt = 0
@@ -373,7 +370,7 @@ class OptimisticSession(InprocSession):
                                sim=master.clock.cycles, ticks=ticks,
                                catchup=1)
         try:
-            leapt = master.run_cycles_leaping(ticks)
+            leapt = master.run_cycles(ticks)
         finally:
             self.obs.end(token, sim=master.clock.cycles,
                          deltas=master.sim.delta_count - deltas,

@@ -50,7 +50,7 @@ from repro.transport.queues import QueueLink
 
 #: Backends per scenario; the first entry is the reference backend.
 SCENARIO_BACKENDS: Dict[str, List[str]] = {
-    "router": ["inproc", "rerun", "replay", "memo", "optimistic",
+    "router": ["inproc", "edge", "rerun", "replay", "memo", "optimistic",
                "fmu", "queue", "tcp"],
     "iss": ["iss-default", "iss-unit"],
     "adaptive": ["adaptive", "adaptive-rerun"],
@@ -118,8 +118,8 @@ def run_backend(spec: FuzzSpec, backend: str,
     a finding rather than an abort of the whole fuzz loop.
     """
     try:
-        if backend in ("inproc", "rerun", "memo", "optimistic", "queue",
-                       "tcp"):
+        if backend in ("inproc", "edge", "rerun", "memo", "optimistic",
+                       "queue", "tcp"):
             return _run_router(spec, backend)
         if backend == "replay":
             return _run_replay(spec, recording)
@@ -141,7 +141,7 @@ def run_backend(spec: FuzzSpec, backend: str,
 # Router scenario
 # ----------------------------------------------------------------------
 def _run_router(spec: FuzzSpec, backend: str) -> RunOutcome:
-    mode = ("inproc" if backend in ("inproc", "rerun", "memo",
+    mode = ("inproc" if backend in ("inproc", "edge", "rerun", "memo",
                                     "optimistic") else backend)
     # The memo backend exercises the real skip path on fault-free
     # specs: repeated windows are satisfied from the cache, and the
@@ -169,7 +169,7 @@ def _run_router(spec: FuzzSpec, backend: str) -> RunOutcome:
     # messages), but then it never runs under faults, so its live rows
     # equal the board-visible ones.  Only the reference ``inproc``
     # recording is handed onward to the replay backend.
-    record = (backend in ("inproc", "rerun")
+    record = (backend in ("inproc", "edge", "rerun")
               or (backend == "memo" and not use_memo)
               or (backend == "optimistic" and not use_optimistic))
     recording = SessionRecording() if record else None
@@ -182,6 +182,12 @@ def _run_router(spec: FuzzSpec, backend: str) -> RunOutcome:
     cosim = build_router_cosim(
         config, spec.router_workload(), mode=mode,
         fault_plan=spec.fault_plan(), recorder=recording)
+    # The edge backend is the leap's oracle: the master kernel toggles
+    # every clock edge, so any backend that leaps is diffed against a
+    # run that never does.
+    sim = cosim.master.sim
+    if backend == "edge":
+        sim.edge_by_edge = True
     trace = ProtocolTrace()
     cosim.session.attach_trace(trace)
     memo = None
@@ -222,6 +228,11 @@ def _run_router(spec: FuzzSpec, backend: str) -> RunOutcome:
             "board": board_state_summary(cosim.runtime.board),
             "stats": cosim.stats.snapshot(),
         })
+    if backend in ("inproc", "edge", "rerun"):
+        outcome.extra["kernel_digest"] = state_digest(sim.snapshot())
+    if backend == "edge" and sim.edges_leapt:
+        raise ReproError(
+            f"edge backend leapt {sim.edges_leapt} clock edges")
     return outcome
 
 

@@ -8,8 +8,9 @@ Three tiers, matching what actually holds across backends:
    ``T_sync`` ticks for fixed-window sessions), trace self-consistency,
    and workload-statistics conservation.
 2. **Deterministic equivalence** — backends that promise bit-identical
-   execution (in-process vs a fresh rerun vs record/replay) must agree
-   on the full state digest and every trace row.
+   execution (in-process vs edge-by-edge vs a fresh rerun vs
+   record/replay) must agree on the full state digest and every trace
+   row; netlist runs also on the master kernel's full snapshot.
 3. **Cross-backend equivalence** — threaded/TCP runs schedule interrupt
    delivery on real threads, so only schedule-level facts are common:
    window count, master cycles, board ticks and the generated-packet
@@ -188,6 +189,13 @@ def check_pair(spec: FuzzSpec, reference: RunOutcome,
             found.append(Mismatch(
                 "trace-equivalence", pair,
                 f"trace rows diverge at window {first}"))
+        kernels = (reference.extra.get("kernel_digest"),
+                   other.extra.get("kernel_digest"))
+        if None not in kernels and kernels[0] != kernels[1]:
+            found.append(Mismatch(
+                "kernel-equivalence", pair,
+                f"master kernel snapshots differ: {kernels[0][:12]} != "
+                f"{kernels[1][:12]}"))
         if reference.extra.get("instructions") is not None and \
                 other.extra.get("instructions") is not None:
             if reference.extra["instructions"] \

@@ -66,6 +66,14 @@ class Simulator:
         #: Statistics
         self.delta_count = 0
         self.process_runs = 0
+        # Host-side work counters of run_until_leaping over its clocks:
+        # edges applied in closed form vs toggled one by one.  Kept out
+        # of snapshot() so leaping and edge-by-edge runs digest equal.
+        self.edges_leapt = 0  # lint: disable=SNAP001
+        self.edges_simulated = 0  # lint: disable=SNAP001
+        #: Oracle switch: run_until_leaping toggles every edge, exactly
+        #: as run_until does.  Set only by the ``edge`` difftest backend.
+        self.edge_by_edge = False  # lint: disable=SNAP001
 
     # ------------------------------------------------------------------
     # Registration (called from Event/Signal/Module/Process constructors)
@@ -203,41 +211,7 @@ class Simulator:
 
         On return ``now == t_end`` (unless :meth:`stop` was called).
         """
-        obs = self.obs
-        if not obs.enabled:
-            self._run_until(t_end)
-            return
-        deltas = self.delta_count
-        runs = self.process_runs
-        token = obs.begin("simkernel", "run_until", sim=self._now)
-        try:
-            self._run_until(t_end)
-        finally:
-            obs.end(token, sim=self._now,
-                    deltas=self.delta_count - deltas,
-                    process_runs=self.process_runs - runs)
-
-    def _run_until(self, t_end: int) -> None:
-        self.elaborate()
-        if t_end < self._now:
-            raise SimulationError(
-                f"run_until({t_end}) is in the past (now={self._now})"
-            )
-        self._stop_requested = False
-        self._running = True
-        try:
-            while not self._stop_requested:
-                self.settle()
-                if self._stop_requested:
-                    break
-                entry = self._peek_timed()
-                if entry is None or entry[0] > t_end:
-                    break
-                self._advance_to(entry[0])
-            if not self._stop_requested and t_end > self._now:
-                self._now = t_end
-        finally:
-            self._running = False
+        self._run_until_traced(t_end, ())
 
     def run_until_leaping(self, t_end: int, clocks=()) -> int:
         """:meth:`run_until`, with an analytic fast path over quiet
@@ -251,16 +225,40 @@ class Simulator:
         state (time, signal level, ``cycles``, ``delta_count``,
         ``process_runs``, ``change_count``, pending tick) is
         bit-identical to conservative execution; only wall-clock time
-        and the unsnapshotted heap sequence numbers differ.
+        and the unsnapshotted heap sequence numbers differ.  With
+        :attr:`edge_by_edge` set every edge is simulated.
 
         Returns the number of edges applied analytically.
         """
+        before = self.edges_leapt
+        self._run_until_traced(t_end, clocks)
+        return self.edges_leapt - before
+
+    def _run_until_traced(self, t_end: int, clocks) -> None:
+        obs = self.obs
+        if not obs.enabled:
+            self._run_until(t_end, clocks)
+            return
+        deltas = self.delta_count
+        runs = self.process_runs
+        leapt = self.edges_leapt
+        token = obs.begin("simkernel", "run_until", sim=self._now)
+        try:
+            self._run_until(t_end, clocks)
+        finally:
+            obs.end(token, sim=self._now,
+                    deltas=self.delta_count - deltas,
+                    process_runs=self.process_runs - runs,
+                    edges_leapt=self.edges_leapt - leapt)
+
+    def _run_until(self, t_end: int, clocks) -> None:
         self.elaborate()
         if t_end < self._now:
             raise SimulationError(
-                f"run_until_leaping({t_end}) is in the past "
-                f"(now={self._now})"
+                f"run_until({t_end}) is in the past (now={self._now})"
             )
+        leap_clocks = () if self.edge_by_edge else clocks
+        edges_before = sum(clock.signal.change_count for clock in clocks)
         leapt = 0
         self._stop_requested = False
         self._running = True
@@ -272,22 +270,31 @@ class Simulator:
                 entry = self._peek_timed()
                 if entry is None or entry[0] > t_end:
                     break
-                edges = 0
-                for clock in clocks:
-                    limit = self._quiet_limit(clock, t_end)
-                    if limit is not None:
-                        edges = self._leap_clock(clock, limit)
-                        if edges:
-                            break
-                if edges:
-                    leapt += edges
-                    continue
+                if leap_clocks:
+                    edges = self._leap(leap_clocks, t_end)
+                    if edges:
+                        leapt += edges
+                        continue
                 self._advance_to(entry[0])
             if not self._stop_requested and t_end > self._now:
                 self._now = t_end
         finally:
             self._running = False
-        return leapt
+            self.edges_leapt += leapt
+            if clocks:
+                self.edges_simulated += sum(
+                    clock.signal.change_count for clock in clocks
+                ) - edges_before - leapt
+
+    def _leap(self, clocks, t_end: int) -> int:
+        """Leap the first of *clocks* that is quiet; returns its edges."""
+        for clock in clocks:
+            limit = self._quiet_limit(clock, t_end)
+            if limit is not None:
+                edges = self._leap_clock(clock, limit)
+                if edges:
+                    return edges
+        return 0
 
     def _quiet_limit(self, clock, t_end: int) -> Optional[int]:
         """Latest time up to which *clock* may leap, or None.
