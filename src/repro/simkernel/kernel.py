@@ -72,7 +72,8 @@ class Simulator:
         self.edges_leapt = 0  # lint: disable=SNAP001
         self.edges_simulated = 0  # lint: disable=SNAP001
         #: Oracle switch: run_until_leaping toggles every edge, exactly
-        #: as run_until does.  Set only by the ``edge`` difftest backend.
+        #: as run_until does.  The ``edge`` difftest backend sets it; no
+        #: config or CLI option reaches it.
         self.edge_by_edge = False  # lint: disable=SNAP001
 
     # ------------------------------------------------------------------
